@@ -19,9 +19,9 @@ Run from a checkout (the package must be importable, e.g.
 The ``solver`` entries time one full solve per variant; the ``sweep``
 entries time a θ ladder solved cold-per-point versus warm-chained
 versus presolved-and-warm-chained; the ``presolve`` entries time a
-single solve with and without problem reduction; the ``batch-shm``
-entries compare the pickle-per-task process pool against the
-shared-memory publication path; the ``serve`` entry measures the warm
+single solve with and without problem reduction; the ``scaling``
+entries time exact GP against the Frank-Wolfe approximation on
+hierarchical 10³-10⁶-link instances; the ``serve`` entry measures the warm
 solver daemon (cold CLI subprocess vs cold daemon request vs
 warm-cache round trip, plus request coalescing).  Every entry records
 the objective
@@ -43,7 +43,7 @@ import argparse
 import json
 import platform
 import time
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -54,18 +54,11 @@ from repro.core import (
     SumUtilityObjective,
     check_kkt,
     solve,
-    solve_batch,
     solve_gradient_projection,
     solve_theta_sweep,
 )
 from repro.obs import collecting_metrics
-from repro.scale import (
-    DecomposeOptions,
-    routing_components,
-    solve_approx,
-    solve_compiled,
-    solve_decomposed,
-)
+from repro.scale import solve_approx
 from repro.topology import hierarchical_routing_problem, random_waxman_network
 
 #: Options replicating the seed inner loop: every line-search trial
@@ -182,10 +175,6 @@ _COUNTER_KEYS = (
     "presolve.links_eliminated",
     "presolve.links_merged",
     "presolve.rows_dropped",
-    "batch.shm.tasks",
-    "batch.shm.segments",
-    "batch.shm.bytes_shared",
-    "batch.shm.bytes_avoided",
     "stream.intervals",
     "stream.cold_resolves",
     "stream.change_points",
@@ -480,73 +469,6 @@ def bench_obs_overhead(
     }
 
 
-def bench_batch_shm(
-    name: str,
-    problems: Sequence[SamplingProblem],
-    repeats: int,
-    start_method: str | None = None,
-) -> dict:
-    """Compare the pickle-per-task pool against shared-memory publication.
-
-    Wall times on a single-core host mostly measure pool overhead — the
-    structural win recorded here is the serialization traffic: the
-    family arrays cross the process boundary once (``bytes_shared``)
-    instead of once per task (``bytes_avoided`` is the difference).
-    Objective parity is checked against the sequential in-process path.
-    """
-    reference = solve_batch(list(problems), processes=1)
-    pickle_s, _ = _best_of(
-        lambda: solve_batch(
-            list(problems), processes=2, shared_memory=False,
-            start_method=start_method,
-        ),
-        repeats,
-    )
-    shm_s, shm_solutions = _best_of(
-        lambda: solve_batch(
-            list(problems), processes=2, shared_memory=True,
-            start_method=start_method,
-        ),
-        repeats,
-    )
-    with collecting_metrics(reset=True) as registry:
-        solve_batch(
-            list(problems), processes=2, shared_memory=True,
-            start_method=start_method,
-        )
-        shm_counters = registry.counters("batch.shm")
-    raw_gap = max(
-        abs(r.diagnostics.objective_value - s.diagnostics.objective_value)
-        / max(abs(r.diagnostics.objective_value), 1e-12)
-        for r, s in zip(reference, shm_solutions)
-    )
-    gap, raw_gap, certified = _certified_gap(
-        raw_gap, *reference, *shm_solutions
-    )
-    bytes_shared = int(shm_counters.get("batch.shm.bytes_shared", 0))
-    bytes_avoided = int(shm_counters.get("batch.shm.bytes_avoided", 0))
-    return {
-        "kind": "batch-shm",
-        "name": name,
-        "tasks": len(problems),
-        "links": problems[0].num_links,
-        "od_pairs": problems[0].num_od_pairs,
-        "start_method": start_method or "default",
-        "pickle_pool_seconds": pickle_s,
-        "shm_pool_seconds": shm_s,
-        "speedup": pickle_s / shm_s if shm_s > 0 else None,
-        "segments": int(shm_counters.get("batch.shm.segments", 0)),
-        "bytes_shared": bytes_shared,
-        "bytes_avoided": bytes_avoided,
-        "bytes_avoided_per_task": (
-            bytes_avoided / len(problems) if problems else 0.0
-        ),
-        "relative_objective_gap": gap,
-        "raw_relative_objective_gap": raw_gap,
-        "gap_certified": certified,
-    }
-
-
 def bench_serve(name: str, repeats: int, quick: bool) -> dict:
     """Warm solver daemon vs the cold CLI on the GEANT/JANET task.
 
@@ -777,23 +699,20 @@ def bench_scaling(
     run_approx: bool = True,
     run_exact: bool = False,
     exact_budget_s: float | None = None,
-    run_compiled: bool = False,
-    run_decompose: bool = False,
-    decompose_polish: bool = True,
-    decompose_gap_tolerance: float | None = None,
 ) -> dict:
     """One point on the 10³→10⁶-link scaling curve.
 
-    Times each requested scale backend on a hierarchical instance and
-    records its *certified* relative optimality gap (``*_gap_relative``
-    fields — the backends' own a-posteriori Frank-Wolfe/KKT
-    certificates, not a comparison that would require re-solving
-    exactly).  Exact GP runs under ``exact_budget_s`` with its
-    iteration cap lifted, so the entry records either its honest wall
-    time or the fact that it could not finish inside the budget —
-    the number the ≥10⁵-link acceptance criterion is about.  One
-    timing pass per backend: at these sizes run-to-run noise is far
-    below the orders-of-magnitude spreads being measured.
+    Times the approximation and (when requested) exact GP on a
+    hierarchical instance and records the approximation's *certified*
+    relative optimality gap (``approx_gap_relative`` — its own
+    a-posteriori Frank-Wolfe certificate, not a comparison that would
+    require re-solving exactly).  Exact GP runs under
+    ``exact_budget_s`` with its iteration cap lifted, so the entry
+    records either its honest wall time or the fact that it could not
+    finish inside the budget — the number the ≥10⁵-link acceptance
+    criterion is about.  One timing pass per backend: at these sizes
+    run-to-run noise is far below the orders-of-magnitude spreads
+    being measured.
     """
     build_start = time.perf_counter()
     problem = hierarchical_routing_problem(
@@ -825,34 +744,6 @@ def bench_scaling(
             approx_converged=bool(approx.diagnostics.converged),
         )
 
-    if run_compiled:
-        compiled_s, compiled = _best_of(lambda: solve_compiled(problem), 1)
-        entry.update(
-            compiled_seconds=compiled_s,
-            compiled_gap_relative=_relative_gap(compiled.diagnostics),
-            compiled_method=compiled.diagnostics.method,
-            compiled_converged=bool(compiled.diagnostics.converged),
-        )
-
-    if run_decompose:
-        entry["decompose_components"] = routing_components(
-            problem
-        ).num_components
-        decompose_kwargs = {"polish": decompose_polish}
-        if decompose_gap_tolerance is not None:
-            decompose_kwargs["gap_tolerance"] = decompose_gap_tolerance
-        decompose_s, decomposed = _best_of(
-            lambda: solve_decomposed(
-                problem, options=DecomposeOptions(**decompose_kwargs)
-            ),
-            1,
-        )
-        entry.update(
-            decompose_seconds=decompose_s,
-            decompose_gap_relative=_relative_gap(decomposed.diagnostics),
-            decompose_converged=bool(decomposed.diagnostics.converged),
-        )
-
     entry["exact_attempted"] = bool(run_exact)
     if run_exact:
         # Lift the iteration cap: at these sizes exact GP needs far
@@ -880,7 +771,6 @@ def bench_scaling(
 def run_benchmarks(
     quick: bool = False,
     repeats: int | None = None,
-    start_method: str | None = None,
 ) -> dict:
     repeats = repeats or (1 if quick else 3)
     geant = SamplingProblem.from_task(janet_task(), theta_packets=100_000)
@@ -912,11 +802,6 @@ def run_benchmarks(
                 8,
             )
         )
-    batch_family = [
-        large.with_theta(large.theta_packets * factor)
-        for factor in (0.5, 0.75, 1.0, 1.5, 2.0, 3.0)
-    ]
-
     entries = [
         bench_solver("geant-janet", geant, repeats),
         bench_solver(
@@ -930,12 +815,6 @@ def run_benchmarks(
             segmented,
             repeats,
         ),
-        bench_batch_shm(
-            "batch-shm-quick" if quick else "batch-shm-waxman-large",
-            batch_family,
-            repeats,
-            start_method=start_method,
-        ),
         bench_sweep(
             "theta-sweep-quick" if quick else "theta-sweep-large-sparse",
             sweep_problem,
@@ -947,25 +826,14 @@ def run_benchmarks(
     ]
     # The scaling curve: 10³→10⁴ links always; --quick stops there
     # (the CI-under-a-minute guard), the full run continues to 10⁵
-    # and 10⁶.  Mixed-traffic instances exercise approx vs exact;
-    # pod-local (``intra_pod_fraction=1.0``) instances exercise the
-    # decomposition backend on its canonical shape.
+    # and 10⁶.
     entries.append(
-        bench_scaling(
-            "scaling-hier-1k", 16, 30, 2,
-            run_exact=True, run_compiled=True,
-        )
+        bench_scaling("scaling-hier-1k", 16, 30, 2, run_exact=True)
     )
     entries.append(
         bench_scaling(
             "scaling-hier-10k", 50, 98, 2,
             run_exact=True, exact_budget_s=30.0 if quick else 120.0,
-        )
-    )
-    entries.append(
-        bench_scaling(
-            "scaling-hier-10k-podlocal", 50, 98, 2,
-            intra_pod_fraction=1.0, run_approx=False, run_decompose=True,
         )
     )
     if not quick:
@@ -975,23 +843,11 @@ def run_benchmarks(
                 run_exact=True, exact_budget_s=60.0,
             )
         )
-        entries.append(
-            bench_scaling(
-                "scaling-hier-100k-podlocal", 320, 150, 4,
-                intra_pod_fraction=1.0, run_decompose=True,
-                # At this scale a 1e-5 Frank-Wolfe certificate is the
-                # contract; chasing 1e-8 through the waterline (or a
-                # full-problem polish) costs minutes for no decision-
-                # relevant precision.
-                decompose_polish=False, decompose_gap_tolerance=1e-5,
-            )
-        )
         entries.append(bench_scaling("scaling-hier-1m", 1250, 400, 4))
     return {
         "benchmark": "hotpath",
         "quick": quick,
         "repeats": repeats,
-        "start_method": start_method or "default",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "entries": entries,
@@ -1012,20 +868,11 @@ def main(argv: list[str] | None = None) -> int:
         "--output", default="BENCH_hotpath.json",
         help="where to write the JSON report",
     )
-    parser.add_argument(
-        "--start-method", default=None,
-        choices=("fork", "forkserver", "spawn"),
-        help="multiprocessing start method for the pool benchmarks "
-             "(default: platform default); CI runs a forkserver pass to "
-             "catch shared-memory lifecycle leaks",
-    )
     args = parser.parse_args(argv)
     if args.repeats is not None and args.repeats < 1:
         parser.error("--repeats must be at least 1")
 
-    report = run_benchmarks(
-        quick=args.quick, repeats=args.repeats, start_method=args.start_method
-    )
+    report = run_benchmarks(quick=args.quick, repeats=args.repeats)
     with open(args.output, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
@@ -1072,17 +919,6 @@ def main(argv: list[str] | None = None) -> int:
                     f"approx {entry['approx_seconds']:.3f}s "
                     f"(gap {entry['approx_gap_relative']:.1e})"
                 )
-            if "decompose_seconds" in entry:
-                parts.append(
-                    f"decompose {entry['decompose_seconds']:.3f}s "
-                    f"(gap {entry['decompose_gap_relative']:.1e}, "
-                    f"{entry['decompose_components']} components)"
-                )
-            if "compiled_seconds" in entry:
-                parts.append(
-                    f"compiled {entry['compiled_seconds']:.3f}s "
-                    f"(gap {entry['compiled_gap_relative']:.1e})"
-                )
             if entry["exact_attempted"]:
                 status = (
                     "converged" if entry["exact_converged"]
@@ -1096,16 +932,6 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 parts.append("exact not attempted")
             print(" | ".join(parts))
-        elif entry["kind"] == "batch-shm":
-            print(
-                f"[batch-shm] {entry['name']}: {entry['tasks']} tasks "
-                f"({entry['start_method']}) "
-                f"pickle {entry['pickle_pool_seconds']:.3f}s -> "
-                f"shm {entry['shm_pool_seconds']:.3f}s, "
-                f"{entry['bytes_avoided']} serialization bytes avoided "
-                f"({entry['segments']} segment(s), "
-                f"{entry['bytes_shared']} shared)"
-            )
         elif entry["kind"] == "stream":
             print(
                 f"[stream] {entry['name']}: {entry['intervals']} intervals "

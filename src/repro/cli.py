@@ -52,8 +52,8 @@ notices go to stderr, so ``--json`` output stays machine-parseable.
 ``sweep --chaos`` is the self-checking resilience smoke: it re-runs the
 sweep with a seeded worker kill and a seeded solver hang injected
 (:mod:`repro.resilience.faults`) and fails unless the faulted runs
-reproduce the unfaulted rates exactly, every exact member carries a
-satisfied KKT certificate, and no shared-memory segments leak.
+reproduce the unfaulted rates exactly and every exact member carries a
+satisfied KKT certificate.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ from .obs import (
     write_manifest,
 )
 from .routing import ODPair
+from .scale import choose_backend, solve_scaled
 from .topology import (
     Network,
     abilene_network,
@@ -186,12 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--method", default="gradient_projection",
                      choices=("gradient_projection", "slsqp", "trust-constr"))
     slv.add_argument("--backend", default="exact",
-                     choices=("exact", "approx", "decompose", "compiled",
-                              "auto"),
+                     choices=("exact", "approx", "auto"),
                      help="scale backend: exact GP (default), Frank-Wolfe "
-                          "water-filling, connectivity decomposition, "
-                          "compiled kernels, or auto by structure; "
-                          "non-exact answers carry a certified "
+                          "water-filling, or auto by candidate-link "
+                          "count; approx answers carry a certified "
                           "optimality gap")
     slv.add_argument("--presolve", action=argparse.BooleanOptionalAction,
                      default=True,
@@ -396,12 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="LRU cap on resident tasks/problems (default 8)")
     srv.add_argument("--max-warm", type=int, default=16,
                      help="LRU cap on warm-start chains (default 16)")
-    srv.add_argument("--batch-min", type=int, default=3,
-                     help="min concurrent solves to group through the "
-                          "shared-memory pool (default 3)")
-    srv.add_argument("--batch-window", type=float, default=0.004,
-                     help="micro-batch collection window in seconds "
-                          "(default 0.004; 0 disables batching)")
     srv.add_argument("--workers", type=int, default=4,
                      help="solver thread-pool width (default 4)")
     srv.add_argument("--max-pending", type=int, default=64,
@@ -494,8 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     req.add_argument("--method", default="gradient_projection",
                      choices=("gradient_projection", "slsqp", "trust-constr"))
     req.add_argument("--backend", default="exact",
-                     choices=("exact", "approx", "decompose", "compiled",
-                              "auto"))
+                     choices=("exact", "approx", "auto"))
     req.add_argument("--presolve", action=argparse.BooleanOptionalAction,
                      default=True)
     req.add_argument("--path", default=None, metavar="FILE.jsonl",
@@ -591,8 +583,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 problem, links, method=args.method, presolve=args.presolve
             )
         elif args.backend != "exact":
-            from .scale import solve_scaled
-
             solution = solve_scaled(problem, backend=args.backend)
         else:
             solution = solve(problem, method=args.method, presolve=args.presolve)
@@ -603,7 +593,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.trace_out:
         # The ambient trace also captures nested solves (restricted,
         # quantization refinement) without parameter plumbing; the
-        # span recorder stitches pooled/decomposed work into one tree.
+        # span recorder stitches pooled work into one tree.
         trace = SolverTrace(label=f"solve:{task.network.name}")
         with tracing(trace), collecting_metrics() as registry, \
                 collecting_spans(f"solve:{task.network.name}") as recorder:
@@ -641,7 +631,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         payload = {
             "converged": solution.diagnostics.converged,
             "method": solution.diagnostics.method,
-            "backend": args.backend,
+            "backend": choose_backend(problem, args.backend),
             "optimality_gap": solution.diagnostics.optimality_gap,
             "iterations": solution.diagnostics.iterations,
             "wall_time_s": solution.diagnostics.wall_time_s,
@@ -741,11 +731,10 @@ def _run_chaos_sweep(args, problem, thetas, policy) -> int:
     Two faulted re-runs of the same sweep — a seeded worker SIGKILL
     through the crash-safe pool, and a seeded solver hang through the
     supervisor — must reproduce their unfaulted twins' rates bitwise,
-    keep every member's KKT certificate satisfied, and leave no
-    shared-memory segments behind.  Exit is non-zero on any violation.
+    and keep every member's KKT certificate satisfied.  Exit is
+    non-zero on any violation.
     """
     from .core.batch import solve_batch, solve_theta_sweep
-    from .core.shm import live_segment_names
     from .resilience import chaos_plan, injected_faults
 
     hang_seconds = 3.0 * policy.timeout_s
@@ -810,12 +799,11 @@ def _run_chaos_sweep(args, problem, thetas, policy) -> int:
         "faults: the worker kill actually broke the pool": (
             counters.get("resilience.pool.broken", 0) >= 1
         ),
-        "shm: no leaked shared-memory segments": not live_segment_names(),
     }
     resilience_counters = {
         key: value
         for key, value in sorted(counters.items())
-        if key.startswith(("resilience.", "faults.", "batch.shm."))
+        if key.startswith(("resilience.", "faults."))
     }
     if args.as_json:
         print(
@@ -1196,8 +1184,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.ttl <= 0:
         raise SystemExit("--ttl must be positive")
-    if args.batch_window < 0:
-        raise SystemExit("--batch-window must be >= 0")
     config = ServerConfig(
         socket_path=args.socket,
         ttl_s=args.ttl,
@@ -1205,8 +1191,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_resident_tasks=args.max_tasks,
         max_warm_chains=args.max_warm,
         journal_path=args.journal,
-        batch_min=args.batch_min,
-        batch_window_s=args.batch_window,
         executor_workers=args.workers,
         max_pending=args.max_pending,
         low_watermark=args.low_watermark,

@@ -27,12 +27,9 @@ chaining).  A mismatch — a failure scenario on an equal-sized
 topology, a re-routed OD pair — cold-starts silently and counts
 ``batch.warm_start.stale``.
 
-Pools ship problems zero-copy where possible: the routing matrix,
-loads and bounds of each distinct problem family are published once
-via :mod:`repro.core.shm` and workers attach read-only, instead of
-re-unpickling megabytes per task.  Heterogeneous utility stacks (or a
-missing ``multiprocessing.shared_memory``) fall back transparently to
-the pickle path.
+Pool workers receive each problem pickled with its task; the pool is
+crash-safe (dead workers re-queue their tasks onto a fresh pool, and
+past the restart budget the remainder runs inline).
 """
 
 from __future__ import annotations
@@ -91,21 +88,32 @@ _NON_STRUCTURAL_KEYS = frozenset({"theta_packets", "interval_seconds"})
 _INLINE_BATCH_MAX = 2
 
 #: Environment variable capping the *default* worker count of
-#: :func:`solve_batch` (and everything fanning out through it — the
-#: θ-sweep pool, the decomposition solver).  CI runners and shared
-#: machines set it so a batch never oversubscribes the host; an
-#: explicit ``processes=`` argument always wins.
+#: :func:`solve_batch`.  CI runners and shared machines set it so a
+#: batch never oversubscribes the host; an explicit ``processes=``
+#: argument always wins.
 MAX_PROCESSES_ENV = "REPRO_MAX_PROCESSES"
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on.
+
+    The affinity set where the platform has one — a process pinned with
+    ``taskset`` or confined by a cpuset sees fewer CPUs than
+    ``os.cpu_count()`` reports for the machine — else ``os.cpu_count()``.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
 def _default_processes(num_problems: int) -> int:
-    """``min(cpu, len)`` capped by ``$REPRO_MAX_PROCESSES`` when set.
+    """``min(usable cpus, len)`` capped by ``$REPRO_MAX_PROCESSES``.
 
     Unparseable or non-positive override values are ignored (the
     batch layer must never crash over a stray environment variable);
     the ignored value is counted in ``batch.env_cap.invalid``.
     """
-    processes = min(os.cpu_count() or 1, max(num_problems, 1))
+    processes = min(_usable_cpus(), max(num_problems, 1))
     raw = os.environ.get(MAX_PROCESSES_ENV)
     if raw is None:
         return processes
@@ -548,21 +556,6 @@ def _solve_single(
     return solve(problem, method=method, options=options, presolve=presolve)
 
 
-def _solve_shared(payload) -> tuple[np.ndarray, object]:
-    """Pool target for shared-memory tasks: attach, solve, return rates.
-
-    Returns ``(rates, diagnostics)`` rather than the full solution —
-    the parent re-binds them to *its* problem object, so the worker
-    never pickles the problem back across the pipe.
-    """
-    handle, method, options, presolve = payload
-    from .shm import attach_problem
-
-    problem = attach_problem(handle)
-    solution = solve(problem, method=method, options=options, presolve=presolve)
-    return solution.rates, solution.diagnostics
-
-
 @dataclasses.dataclass
 class _ObsEnvelope:
     """A pool task's result wrapped with its observability payload.
@@ -595,7 +588,7 @@ def _obs_context() -> dict | None:
     return context or None
 
 
-def _run_observed(kind: str, payload, index: int, attempt: int, obs: dict):
+def _run_observed(payload, index: int, attempt: int, obs: dict):
     """Worker-side task body under shipped observability context.
 
     Enables the worker-local registry for the task (restoring after),
@@ -622,12 +615,11 @@ def _run_observed(kind: str, payload, index: int, attempt: int, obs: dict):
             with remote_span_context(
                 span_context, label=f"worker:{os.getpid()}"
             ) as recorder:
-                with span("batch.task", index=index, attempt=attempt,
-                          kind=kind):
-                    result = _dispatch_task(kind, payload)
+                with span("batch.task", index=index, attempt=attempt):
+                    result = _solve_single(payload)
             shipped = [item.to_dict() for item in recorder.spans]
         else:
-            result = _dispatch_task(kind, payload)
+            result = _solve_single(payload)
             shipped = []
         delta = (
             diff_snapshots(METRICS.snapshot(), before)
@@ -640,16 +632,10 @@ def _run_observed(kind: str, payload, index: int, attempt: int, obs: dict):
     return _ObsEnvelope(result=result, metrics=delta, spans=shipped)
 
 
-def _dispatch_task(kind: str, payload):
-    if kind == "shared":
-        return _solve_shared(payload)
-    return _solve_single(payload)
-
-
 def _pool_run(task):
-    """Pool entry point: arm fault injection, then dispatch by kind.
+    """Pool entry point: arm fault injection, then solve.
 
-    ``task`` is ``(kind, payload, index, attempt, plan, obs)``.  The
+    ``task`` is ``(payload, index, attempt, plan, obs)``.  The
     fault plan travels *inside* the task (a forked worker's inherited
     module state is a snapshot, and spawn-start workers have none), so
     worker behaviour is governed entirely by what the parent shipped.
@@ -657,7 +643,7 @@ def _pool_run(task):
     metrics opt-in — worker registries and recorders are process-local
     snapshots, so enablement cannot be inherited reliably either.
     """
-    kind, payload, index, attempt, plan, obs = task
+    payload, index, attempt, plan, obs = task
     from ..resilience import faults
 
     if plan is not None:
@@ -665,9 +651,10 @@ def _pool_run(task):
     else:
         faults.clear_faults()
     faults.maybe_fire(faults.SITE_WORKER_EXIT, index=index, attempt=attempt)
+    faults.maybe_fire(faults.SITE_SOLVE_RAISE, index=index, attempt=attempt)
     if obs is not None:
-        return _run_observed(kind, payload, index, attempt, obs)
-    return _dispatch_task(kind, payload)
+        return _run_observed(payload, index, attempt, obs)
+    return _solve_single(payload)
 
 
 def _merge_envelope(envelope: _ObsEnvelope) -> None:
@@ -681,7 +668,7 @@ def _merge_envelope(envelope: _ObsEnvelope) -> None:
 
 
 def _run_crash_safe_pool(
-    tasks: Sequence[tuple[int, str, tuple]],
+    payloads: Sequence[tuple],
     workers: int,
     context,
     max_pool_restarts: int,
@@ -709,10 +696,9 @@ def _run_crash_safe_pool(
 
     plan = fault_mod.active_plan()
     base_obs = _obs_context()
-    payloads = {index: (kind, payload) for index, kind, payload in tasks}
-    attempts = {index: 0 for index, _, _ in tasks}
+    attempts = {index: 0 for index in range(len(payloads))}
     results: dict[int, object] = {}
-    pending = [index for index, _, _ in tasks]
+    pending = list(attempts)
     pool_failures = 0
     while pending:
         if pool_failures > max_pool_restarts:
@@ -731,7 +717,6 @@ def _run_crash_safe_pool(
         ) as executor:
             futures = {}
             for index in pending:
-                kind, payload = payloads[index]
                 task_obs = (
                     None
                     if base_obs is None
@@ -740,7 +725,8 @@ def _run_crash_safe_pool(
                 futures[
                     executor.submit(
                         _pool_run,
-                        (kind, payload, index, attempts[index], plan, task_obs),
+                        (payloads[index], index, attempts[index], plan,
+                         task_obs),
                     )
                 ] = index
             for future in as_completed(futures):
@@ -806,15 +792,15 @@ def solve_batch(
     method: str = "gradient_projection",
     options: GradientProjectionOptions | None = None,
     presolve: bool = False,
-    shared_memory: bool = True,
     start_method: str | None = None,
     max_pool_restarts: int = 2,
     task_retries: int = 1,
 ) -> list[SamplingSolution]:
     """Solve independent problems, optionally across a process pool.
 
-    ``processes`` is the worker count; ``None`` defaults to
-    ``min(os.cpu_count(), len(problems))``, capped by the
+    ``processes`` is the worker count; ``None`` defaults to the
+    number of CPUs this process may run on (its affinity set) or
+    ``len(problems)``, whichever is smaller, capped by the
     ``REPRO_MAX_PROCESSES`` environment variable when set (so CI
     runners and nested fan-outs don't oversubscribe shared machines —
     an explicit ``processes`` argument ignores the cap).  Batches of
@@ -826,19 +812,12 @@ def solve_batch(
     families where neighbours inform each other, prefer
     :func:`solve_chain`.
 
-    With ``shared_memory`` (default) the pooled path publishes each
-    distinct problem family once via
-    :class:`~repro.core.shm.SharedProblemPool` and sends workers small
-    handles instead of pickled matrices; problems that cannot be
-    shared (heterogeneous utilities) fall back to the pickle path for
-    the whole batch, counted in ``batch.shm.fallback``.
+    Pool workers receive each problem pickled with its task.
     ``start_method`` forces a multiprocessing start method
-    (``fork`` / ``forkserver`` / ``spawn``) — CI uses ``forkserver``
-    to shake out shared-memory lifecycle leaks.
+    (``fork`` / ``forkserver`` / ``spawn``).
 
     Observability: pool fan-out is recorded on the parent registry
-    (``batch.pool.tasks`` / ``batch.pool.workers``, plus the
-    ``batch.shm.*`` publication counters).  When the parent has
+    (``batch.pool.tasks`` / ``batch.pool.workers``).  When the parent has
     metrics collection or span recording on, each task additionally
     ships the parent's context into the worker and returns an
     :class:`_ObsEnvelope`: the worker's counter/gauge/timer/histogram
@@ -881,56 +860,14 @@ def solve_batch(
             problems[index], method=method, options=options, presolve=presolve
         )
 
-    if shared_memory:
-        from .shm import SharedProblemPool, shared_memory_available
-
-        if shared_memory_available():
-            with SharedProblemPool() as pool:
-                handles = [pool.publish(problem) for problem in problems]
-                if all(handle is not None for handle in handles):
-                    tasks = [
-                        (index, "shared", (handle, method, options, presolve))
-                        for index, handle in enumerate(handles)
-                    ]
-                    avoided = (
-                        sum(handle.payload_bytes for handle in handles)
-                        - pool.bytes_shared
-                    )
-                    METRICS.increment("batch.shm.tasks", len(tasks))
-                    METRICS.increment("batch.shm.dispatches")
-                    METRICS.increment("batch.shm.bytes_avoided", int(avoided))
-                    with span("batch.solve_batch", tasks=len(tasks),
-                              workers=workers, mode="pool-shm"):
-                        with METRICS.timer("batch.pool.map"):
-                            results = _run_crash_safe_pool(
-                                tasks, workers, context, max_pool_restarts,
-                                task_retries, _inline,
-                            )
-                    solutions = []
-                    for index, problem in enumerate(problems):
-                        result = results[index]
-                        if isinstance(result, SamplingSolution):
-                            solutions.append(result)  # inline-degraded task
-                        else:
-                            rates, diagnostics = result
-                            solutions.append(
-                                SamplingSolution(
-                                    problem=problem, rates=rates,
-                                    diagnostics=diagnostics,
-                                )
-                            )
-                    return solutions
-        METRICS.increment("batch.shm.fallback")
-
-    tasks = [
-        (index, "single", (problem, method, options, presolve))
-        for index, problem in enumerate(problems)
+    payloads = [
+        (problem, method, options, presolve) for problem in problems
     ]
-    with span("batch.solve_batch", tasks=len(tasks), workers=workers,
-              mode="pool-pickle"):
+    with span("batch.solve_batch", tasks=len(payloads), workers=workers,
+              mode="pool"):
         with METRICS.timer("batch.pool.map"):
             results = _run_crash_safe_pool(
-                tasks, workers, context, max_pool_restarts, task_retries,
+                payloads, workers, context, max_pool_restarts, task_retries,
                 _inline,
             )
     return [results[index] for index in range(len(problems))]

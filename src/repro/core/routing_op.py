@@ -158,7 +158,7 @@ class RoutingOperator:
     def tosparse(self):
         """The backing SciPy CSR matrix, or ``None`` on the dense backend.
 
-        Presolve and the shared-memory publisher use this to reach the
+        Presolve and the fingerprints use this to reach the
         native storage without a dense round trip; treat the result as
         read-only.
         """

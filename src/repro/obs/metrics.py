@@ -52,7 +52,7 @@ __all__ = [
 #: Upper bounds (seconds) of the fixed latency histogram buckets; one
 #: implicit overflow bucket follows the last bound.  Log-spaced from
 #: 100µs to 60s — the observed dynamic range of a single gradient
-#: projection up through a full decomposed solve.
+#: projection up through a 10⁴-link exact solve.
 HISTOGRAM_BUCKETS: tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,

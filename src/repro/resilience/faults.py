@@ -1,9 +1,9 @@
 """Deterministic fault injection for chaos testing the solve stack.
 
 Production failure modes — a solver raising on bad telemetry, a solve
-that never returns, a pool worker SIGKILLed by the OOM killer, a
-shared-memory attach racing a cleanup — are rare and timing-dependent,
-which makes the recovery paths the least-tested code in the tree.
+that never returns, a pool worker SIGKILLed by the OOM killer — are
+rare and timing-dependent, which makes the recovery paths the
+least-tested code in the tree.
 This module makes them *reproducible*: a :class:`FaultPlan` is a
 seeded, picklable schedule of failure points that instrumented call
 sites consult via :func:`maybe_fire`.  With no plan installed the
@@ -12,7 +12,8 @@ check is one module-global read, so production solves pay nothing.
 Failure points (``SITE_*`` constants):
 
 ``solve.raise``
-    The solve attempt raises :class:`InjectedFault` before running.
+    The solve attempt (a supervised attempt, a pool task or a daemon
+    solve) raises :class:`InjectedFault` before running.
 ``solve.hang``
     The solve attempt sleeps ``hang_seconds`` before proceeding —
     long enough to trip a supervisor timeout, short enough that the
@@ -20,9 +21,6 @@ Failure points (``SITE_*`` constants):
 ``worker.exit``
     A pool worker dies via ``os._exit`` (indistinguishable from a
     SIGKILL to the parent: the pool breaks, the task result is lost).
-``shm.attach``
-    A shared-memory attach raises :class:`InjectedFault` — the
-    segment-vanished / permissions race.
 ``serve.queue_full``
     The daemon's admission controller behaves as if the high
     watermark had tripped: the request is shed with a structured
@@ -72,7 +70,6 @@ __all__ = [
     "SITE_SOLVE_RAISE",
     "SITE_SOLVE_HANG",
     "SITE_WORKER_EXIT",
-    "SITE_SHM_ATTACH",
     "SITE_SERVE_QUEUE_FULL",
     "SITE_SERVE_SLOW_SOLVE",
     "SITE_SERVE_CLIENT_DISCONNECT",
@@ -81,7 +78,6 @@ __all__ = [
 SITE_SOLVE_RAISE = "solve.raise"
 SITE_SOLVE_HANG = "solve.hang"
 SITE_WORKER_EXIT = "worker.exit"
-SITE_SHM_ATTACH = "shm.attach"
 SITE_SERVE_QUEUE_FULL = "serve.queue_full"
 SITE_SERVE_SLOW_SOLVE = "serve.slow_solve"
 SITE_SERVE_CLIENT_DISCONNECT = "serve.client_disconnect"
@@ -90,7 +86,6 @@ _SITES = (
     SITE_SOLVE_RAISE,
     SITE_SOLVE_HANG,
     SITE_WORKER_EXIT,
-    SITE_SHM_ATTACH,
     SITE_SERVE_QUEUE_FULL,
     SITE_SERVE_SLOW_SOLVE,
     SITE_SERVE_CLIENT_DISCONNECT,
@@ -245,10 +240,11 @@ def maybe_fire(site: str, index: int | None = None, attempt: int = 0) -> None:
     """Consult the installed plan at ``site``; act if scheduled.
 
     No-op (one global read) when no plan is installed.  Actions:
-    ``solve.raise`` / ``shm.attach`` raise :class:`InjectedFault`,
-    ``solve.hang`` sleeps ``hang_seconds``, ``worker.exit`` terminates
-    the process with :data:`WORKER_EXIT_STATUS` — bypassing cleanup
-    handlers, exactly like a SIGKILL would.
+    ``solve.hang`` / ``serve.slow_solve`` sleep ``hang_seconds``,
+    ``worker.exit`` terminates the process with
+    :data:`WORKER_EXIT_STATUS` — bypassing cleanup handlers, exactly
+    like a SIGKILL would — and every other site raises
+    :class:`InjectedFault`.
     """
     plan = _ACTIVE
     if plan is None:

@@ -1,27 +1,19 @@
-"""``repro.scale``: backends that push the solver past exact-GP scale.
+"""``repro.scale``: the backend past exact-GP scale.
 
-Three cooperating backends, each certified rather than trusted:
+Two backends, each certified rather than trusted:
 
+``exact``
+    The paper's gradient projection (:func:`repro.core.solve`),
+    certified by its KKT conditions.
 ``approx``
     Frank-Wolfe water-filling (:mod:`~repro.scale.approx`) — near-
     optimal in ``O(rounds · (nnz + n log n))`` with an a-posteriori
-    duality-gap bound on every answer.
-``decompose``
-    OD×link connectivity decomposition (:mod:`~repro.scale.decompose`)
-    — exact recombination across independent components, parallel on
-    the shared-memory batch pool, certified by full-problem KKT.
-``compiled``
-    The paper's exact gradient projection on fused CSR kernels
-    (:mod:`~repro.scale.compiled`) — numba when importable, pure
-    NumPy otherwise.
+    duality-gap bound on every answer (after Kallitsis et al.).
 
-:func:`solve_scaled` routes between them (and plain exact GP) with
-the same auto-policy mechanism :class:`~repro.core.routing_op
-.RoutingOperator` uses for dense/CSR: explicit ``backend=`` always
-wins; ``"auto"`` inspects cheap structural signals — candidate count
-against :data:`APPROX_AUTO_LINKS`, bipartite component count against
-:data:`DECOMPOSE_AUTO_COMPONENTS`, utility-family homogeneity — and
-records its choice in ``scale.backend.*`` counters.
+:func:`solve_scaled` routes between them: an explicit ``backend=``
+always wins; ``"auto"`` is a size threshold — ``approx`` at
+:data:`APPROX_AUTO_LINKS` candidate links or more, ``exact`` below —
+and records its choice in ``scale.backend.*`` counters.
 """
 
 from __future__ import annotations
@@ -38,60 +30,25 @@ from .approx import (
     frank_wolfe_gap,
     solve_approx,
 )
-from .compiled import (
-    KERNEL_BACKEND,
-    NUMBA_AVAILABLE,
-    CompiledAccuracyObjective,
-    compiled_supported,
-    solve_compiled,
-)
-from .decompose import (
-    DecomposeOptions,
-    RoutingComponents,
-    routing_components,
-    solve_decomposed,
-)
 
 __all__ = [
     "SCALE_BACKENDS",
     "APPROX_AUTO_LINKS",
-    "DECOMPOSE_AUTO_COMPONENTS",
-    "DECOMPOSE_AUTO_MIN_LINKS",
-    "COMPILED_AUTO_LINKS",
     "ApproxOptions",
-    "DecomposeOptions",
-    "RoutingComponents",
-    "CompiledAccuracyObjective",
-    "KERNEL_BACKEND",
-    "NUMBA_AVAILABLE",
     "budget_lp_vertex",
     "frank_wolfe_gap",
-    "compiled_supported",
-    "routing_components",
     "choose_backend",
     "solve_approx",
-    "solve_compiled",
-    "solve_decomposed",
     "solve_scaled",
 ]
 
 #: The backend names ``solve_scaled`` accepts (plus ``"auto"``).
-SCALE_BACKENDS = ("exact", "approx", "decompose", "compiled")
+SCALE_BACKENDS = ("exact", "approx")
 
 #: Auto policy: candidate counts at or above this get the water-
 #: filling approximation — exact GP's active-set bookkeeping stops
 #: amortizing around here on one core.
 APPROX_AUTO_LINKS = 50_000
-
-#: Auto policy: decompose when the bipartite structure splits at
-#: least this many ways *and* the instance is big enough for the
-#: split to beat one exact solve.
-DECOMPOSE_AUTO_COMPONENTS = 2
-DECOMPOSE_AUTO_MIN_LINKS = 2_048
-
-#: Auto policy: the compiled objective takes over for mid-size
-#: homogeneous instances (below it, dispatch overhead dominates).
-COMPILED_AUTO_LINKS = 512
 
 
 def choose_backend(
@@ -99,11 +56,10 @@ def choose_backend(
 ) -> str:
     """Resolve ``backend`` (maybe ``"auto"``) to a concrete backend.
 
-    Mirrors :meth:`RoutingOperator.from_matrix`: an explicit request
-    is honored verbatim; ``"auto"`` picks by structure — approximation
-    for very large candidate sets, decomposition for separable
-    mid-to-large instances, compiled exact GP for homogeneous
-    accuracy families, plain exact GP otherwise.
+    An explicit request is honored verbatim; ``"auto"`` returns
+    ``"approx"`` at :data:`APPROX_AUTO_LINKS` candidate links or more
+    and ``"exact"`` otherwise.  Any other name raises
+    :class:`ValueError` listing the known backends.
     """
     if backend != "auto":
         if backend not in SCALE_BACKENDS:
@@ -112,19 +68,8 @@ def choose_backend(
                 f"know {('auto', *SCALE_BACKENDS)}"
             )
         return backend
-    candidates = int(problem.candidate_mask.sum())
-    if candidates >= APPROX_AUTO_LINKS:
+    if int(problem.candidate_mask.sum()) >= APPROX_AUTO_LINKS:
         return "approx"
-    if candidates >= DECOMPOSE_AUTO_MIN_LINKS:
-        if (
-            routing_components(problem).num_components
-            >= DECOMPOSE_AUTO_COMPONENTS
-        ):
-            return "decompose"
-    if candidates >= COMPILED_AUTO_LINKS and compiled_supported(
-        problem.utilities
-    ):
-        return "compiled"
     return "exact"
 
 
@@ -132,15 +77,14 @@ def solve_scaled(
     problem: SamplingProblem,
     backend: str = "auto",
     approx_options: ApproxOptions | None = None,
-    decompose_options: DecomposeOptions | None = None,
     gp_options=None,
     warm_start: np.ndarray | None = None,
 ) -> SamplingSolution:
-    """Solve through a scale backend selected by :func:`choose_backend`.
+    """Solve through the backend selected by :func:`choose_backend`.
 
     The returned diagnostics identify the backend that ran
-    (``diagnostics.method``) and — for every non-exact backend —
-    carry a certified ``optimality_gap``.
+    (``diagnostics.method``); an ``approx`` answer carries a certified
+    ``optimality_gap``.
     """
     resolved = choose_backend(problem, backend)
     METRICS.increment(f"scale.backend.{resolved}")
@@ -149,12 +93,6 @@ def solve_scaled(
         if resolved == "approx":
             return solve_approx(
                 problem, options=approx_options, warm_start=warm_start
-            )
-        if resolved == "decompose":
-            return solve_decomposed(problem, options=decompose_options)
-        if resolved == "compiled":
-            return solve_compiled(
-                problem, options=gp_options, warm_start=warm_start
             )
         from ..core.solver import solve
 

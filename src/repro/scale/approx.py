@@ -37,10 +37,14 @@ import numpy as np
 from ..core.gradient_projection import initial_feasible_point
 from ..core.kkt import check_kkt
 from ..core.line_search import line_search_along_ray
-from ..core.objective import Objective, SumUtilityObjective
+from ..core.objective import SumUtilityObjective
 from ..core.problem import SamplingProblem
 from ..core.solution import SamplingSolution, SolverDiagnostics
 from ..obs.metrics import METRICS
+
+#: ``SolverDiagnostics.method`` of every answer :func:`solve_approx`
+#: returns — how callers tell an approximate answer from an exact one.
+APPROX_METHOD = "approx_waterfill"
 
 __all__ = [
     "ApproxOptions",
@@ -116,11 +120,10 @@ def frank_wolfe_gap(
 ) -> tuple[float, np.ndarray]:
     """(certified bound on ``f* − f(x)``, the LP vertex attaining it).
 
-    Valid for any feasible ``x`` of any backend — the decomposition
-    and compiled solvers use it to stamp their answers with the same
-    certificate the approximation carries natively.  The bound is
-    clamped at 0: roundoff can drive the inner product a hair
-    negative when ``x`` is itself the vertex.
+    Valid for any feasible ``x`` of any backend, not only the
+    approximation's own iterates.  The bound is clamped at 0: roundoff
+    can drive the inner product a hair negative when ``x`` is itself
+    the vertex.
     """
     vertex = budget_lp_vertex(gradient, loads, alpha, target_rate)
     gap = float(gradient @ (vertex - x))
@@ -130,23 +133,20 @@ def frank_wolfe_gap(
 def solve_approx(
     problem: SamplingProblem,
     options: ApproxOptions | None = None,
-    objective: Objective | None = None,
     warm_start: np.ndarray | None = None,
 ) -> SamplingSolution:
     """Near-optimal solve by Frank-Wolfe water-filling.
 
     Returns a :class:`SamplingSolution` whose diagnostics carry
-    ``method="approx_waterfill"`` and a certified
+    ``method=APPROX_METHOD`` and a certified
     ``optimality_gap`` (absolute).  ``converged`` means the relative
     gap reached ``options.gap_tolerance``; a loop that exhausts
     ``max_rounds`` still returns its best feasible iterate *with* the
     bound actually achieved — the caller decides whether the wider
     certificate is acceptable.
 
-    ``objective`` overrides the candidate objective (the compiled
-    backend passes its fused evaluator); ``warm_start`` is a
-    full-length rate vector used as the starting point after
-    projection onto the feasible set.
+    ``warm_start`` is a full-length rate vector used as the starting
+    point after projection onto the feasible set.
     """
     t_start = perf_counter()
     options = options or ApproxOptions()
@@ -156,10 +156,9 @@ def solve_approx(
     loads = problem.link_loads_pps[cand]
     alpha = problem.alpha[cand]
     target = problem.theta_rate_pps
-    if objective is None:
-        objective = SumUtilityObjective(
-            problem.candidate_routing_op(), problem.utilities
-        )
+    objective = SumUtilityObjective(
+        problem.candidate_routing_op(), problem.utilities
+    )
 
     if warm_start is not None:
         from ..core.gradient_projection import _project_to_feasible
@@ -235,7 +234,7 @@ def solve_approx(
     METRICS.gauge("solver.approx.gap", relative_gap)
     METRICS.observe_timer("solver.approx.wall_time", wall)
     diagnostics = SolverDiagnostics(
-        method="approx_waterfill",
+        method=APPROX_METHOD,
         iterations=rounds,
         constraint_releases=0,
         converged=converged,

@@ -15,8 +15,8 @@ all of that resident and answers repeat questions from warm state:
 * :mod:`~repro.serve.cache` — TTL + LRU certified-result cache with
   an fsynced JSONL journal for restart re-warming;
 * :mod:`~repro.serve.server` — the asyncio daemon: single-flight
-  request coalescing, micro-batching through the shm pool, spans and
-  latency histograms on every request;
+  request coalescing, warm-chained solves, spans and latency
+  histograms on every request;
 * :mod:`~repro.serve.client` — the blocking client behind
   ``netsampling request`` and the CLI's ``--daemon`` routing.
 

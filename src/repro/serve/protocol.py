@@ -87,7 +87,7 @@ ERROR_KINDS = (
 )
 
 _METHODS = ("gradient_projection", "slsqp", "trust-constr")
-_BACKENDS = ("exact", "approx", "decompose", "compiled", "auto")
+_BACKENDS = ("exact", "approx", "auto")
 
 
 class ProtocolError(ValueError):

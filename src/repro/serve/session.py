@@ -44,6 +44,7 @@ from ..obs.metrics import METRICS
 from ..obs.spans import span
 from ..resilience import faults
 from ..routing import ODPair
+from ..scale.approx import APPROX_METHOD
 from ..topology import (
     Network,
     abilene_network,
@@ -415,10 +416,7 @@ class SolverSession:
                     raise deadline.to_error()
                 return self._approx_fallback(prepared, reason="budget")
         return solution_payload(
-            solution,
-            prepared.link_names,
-            prepared.od_names,
-            backend=params["backend"],
+            solution, prepared.link_names, prepared.od_names
         )
 
     def _approx_fallback(self, prepared: PreparedRequest, reason: str) -> dict:
@@ -441,11 +439,7 @@ class SolverSession:
         with span("serve.fallback.approx", reason=reason):
             solution = solve_approx(prepared.problem)
         payload = solution_payload(
-            solution,
-            prepared.link_names,
-            prepared.od_names,
-            backend="approx",
-            tier="approx",
+            solution, prepared.link_names, prepared.od_names
         )
         payload["fallback_reason"] = reason
         return payload
@@ -481,7 +475,7 @@ class SolverSession:
         for theta, solution in zip(thetas, solutions):
             point = solution_payload(
                 solution, prepared.link_names, prepared.od_names,
-                backend="exact", include_utilities=False,
+                include_utilities=False,
             )
             point["theta_packets"] = theta
             points.append(point)
@@ -546,14 +540,6 @@ class SolverSession:
         ):
             results = run_stream(trace, config)
         return stream_payload(results, link_names)
-
-    def solve_batchable(self, prepared: PreparedRequest) -> bool:
-        """Whether this request may ride the pooled ``solve_batch`` path."""
-        return (
-            prepared.op == "solve"
-            and prepared.params["backend"] == "exact"
-            and prepared.params["method"] == "gradient_projection"
-        )
 
     # -- lifecycle ----------------------------------------------------
 
@@ -624,23 +610,24 @@ def solution_payload(
     solution,
     link_names: list[str],
     od_names: list[str],
-    backend: str = "exact",
     include_utilities: bool = True,
-    tier: str = "exact",
 ) -> dict:
     """JSON-ready result payload (the daemon's unit of caching).
 
-    ``tier`` labels the degradation level of the answer: ``"exact"``
-    (full-fidelity solve), ``"approx"`` (deadline fallback to the
-    certified-gap backend) or ``"stale"`` (an expired-but-grace-valid
-    cache entry, stamped by the server).  Only ``tier == "exact"``
-    results are admitted to the result cache.
+    ``backend`` is the backend that actually produced the answer
+    (``"exact"`` or ``"approx"``), read off the solution itself, and
+    ``tier`` labels its degradation level the same way: every answer
+    of the approx backend — requested, chosen by ``auto`` or a
+    deadline fallback — is ``tier: "approx"``.  The server stamps a
+    third tier, ``"stale"``, on expired-but-grace-valid cache entries.
+    Only ``tier == "exact"`` results are admitted to the result cache.
     """
     diagnostics = solution.diagnostics
+    backend = "approx" if diagnostics.method == APPROX_METHOD else "exact"
     payload = {
         "converged": bool(diagnostics.converged),
         "degraded": bool(diagnostics.degraded),
-        "tier": tier,
+        "tier": backend,
         "method": diagnostics.method,
         "backend": backend,
         "iterations": int(diagnostics.iterations),

@@ -189,9 +189,8 @@ def hierarchical_routing_problem(
 
     ``intra_pod_fraction=1.0`` keeps every flow inside its pod, which
     leaves the aggregation links untraversed and splits the OD×link
-    bipartite graph into one component per pod — the decomposition
-    backend's best case.  θ is set to ``theta_fraction`` of the
-    instance's maximum absorbable rate.
+    bipartite graph into one component per pod.  θ is set to
+    ``theta_fraction`` of the instance's maximum absorbable rate.
     """
     import scipy.sparse as sparse
 

@@ -24,12 +24,6 @@ documented tolerance (see :data:`TOLERANCES` and
     The water-filling approximation's *certificate soundness*: the
     exact optimum must not beat the approximate value by more than
     the approximation's own certified ``optimality_gap``.
-``decompose``
-    Component decomposition vs one full solve on a block-diagonal
-    instance assembled from the problem (guaranteed ≥ 2 components).
-``compiled``
-    The fused-kernel objective backend vs the generic one — same
-    gradient projection, same iterates, dense/CSR-grade tolerance.
 
 Comparisons gate on the *objective* (unique at the optimum even when
 the rate vector is degenerate) plus each solution's own KKT
@@ -62,15 +56,12 @@ from .reference import (
 __all__ = [
     "TOLERANCES",
     "random_problem",
-    "block_diagonal_problem",
     "check_backends",
     "check_presolve",
     "check_stacked",
     "check_supervised",
     "check_reference",
     "check_approx",
-    "check_decompose",
-    "check_compiled",
     "check_stream",
     "check_reconfig",
     "differential_check",
@@ -89,15 +80,10 @@ TOLERANCES: dict[str, float] = {
     "brute_force": 1e-6,
     "slsqp_cross": 1e-5,
     "kkt": 1e-5,
-    # Scale backends (repro.scale): "approx" is slack on the
+    # Scale backend (repro.scale): "approx" is slack on the
     # *certificate* — the exact optimum may exceed the approximate
-    # value by at most the certified gap plus this roundoff allowance;
-    # "decompose" gates merged-vs-full objectives; "compiled" holds
-    # the fused kernels to the dense/CSR-grade bar since the iterates
-    # are mathematically identical.
+    # value by at most the certified gap plus this roundoff allowance.
     "approx": 1e-9,
-    "decompose": 1e-6,
-    "compiled": 1e-7,
     # Streaming control plane (repro.stream): "stream" gates each
     # interval's warm incremental optimum against a cold exact solve
     # of the identical problem; "reconfig" gates the penalized
@@ -190,38 +176,6 @@ def random_problem(
             continue
         return problem
     raise RuntimeError("could not generate a feasible random instance")
-
-
-def block_diagonal_problem(
-    problem: SamplingProblem, load_scale: float = 1.7
-) -> SamplingProblem:
-    """A ≥ 2-component instance assembled from ``problem``.
-
-    Two copies of the routing on disjoint link/OD blocks — the second
-    with loads scaled by ``load_scale`` so the blocks price budget
-    differently — and double the budget (feasible: the absorbable
-    capacity more than doubles).  Deterministic, which is what the
-    differential and golden harnesses need.
-    """
-    routing = np.asarray(problem.routing, dtype=float)
-    num_od, num_links = routing.shape
-    stacked = np.zeros((2 * num_od, 2 * num_links))
-    stacked[:num_od, :num_links] = routing
-    stacked[num_od:, num_links:] = routing
-    loads = np.concatenate(
-        [problem.link_loads_pps, load_scale * problem.link_loads_pps]
-    )
-    alpha = np.concatenate([problem.alpha, problem.alpha])
-    utilities = list(problem.utilities) + list(problem.utilities)
-    probe = SamplingProblem(
-        stacked,
-        loads,
-        1.0,
-        utilities,
-        alpha=alpha,
-        interval_seconds=problem.interval_seconds,
-    )
-    return probe.with_theta(2.0 * problem.theta_packets)
 
 
 # ----------------------------------------------------------------------
@@ -379,62 +333,6 @@ def check_approx(problem: SamplingProblem) -> dict:
         "approx_converged": bool(approx.diagnostics.converged),
         "tolerance": TOLERANCES["approx"],
         "passed": sound,
-    }
-
-
-def check_decompose(problem: SamplingProblem) -> dict:
-    """Decomposition merge vs one full solve, on ≥ 2 components.
-
-    Assembles a deterministic block-diagonal instance from
-    ``problem`` (see :func:`block_diagonal_problem`) so every input —
-    including single-component ones — exercises a real split/merge.
-    """
-    from ..scale import DecomposeOptions, routing_components, solve_decomposed
-
-    block = block_diagonal_problem(problem)
-    components = routing_components(block).num_components
-    full = solve(block)
-    # Inline rounds: spawning a process pool per differential instance
-    # would dwarf the solves themselves at this size.
-    merged = solve_decomposed(block, options=DecomposeOptions(parallel=False))
-    gap = _rel_gap(
-        _ref_objective(block, full), _ref_objective(block, merged)
-    )
-    return {
-        "pair": "decompose",
-        "objective_gap": gap,
-        "components": components,
-        "merged_converged": bool(merged.diagnostics.converged),
-        "certified_gap": float(merged.diagnostics.optimality_gap),
-        "tolerance": TOLERANCES["decompose"],
-        "passed": gap <= TOLERANCES["decompose"]
-        and components >= 2
-        and bool(merged.diagnostics.converged),
-    }
-
-
-def check_compiled(problem: SamplingProblem) -> dict:
-    """Fused-kernel objective backend vs the generic objective."""
-    from ..scale import solve_compiled
-
-    generic = solve(problem)
-    compiled = solve_compiled(problem)
-    gap = _rel_gap(
-        _ref_objective(problem, generic),
-        _ref_objective(problem, compiled),
-    )
-    return {
-        "pair": "compiled",
-        "objective_gap": gap,
-        "kernel_backend": compiled.diagnostics.method,
-        "max_rate_diff": float(
-            np.abs(generic.rates - compiled.rates).max()
-        ),
-        "kkt_ok": _kkt_ok(problem, generic) and _kkt_ok(problem, compiled),
-        "tolerance": TOLERANCES["compiled"],
-        "passed": gap <= TOLERANCES["compiled"]
-        and _kkt_ok(problem, generic)
-        and _kkt_ok(problem, compiled),
     }
 
 
@@ -619,8 +517,6 @@ def differential_check(
         check_stacked(problem),
         check_supervised(problem),
         check_approx(problem),
-        check_compiled(problem),
-        check_decompose(problem),
         check_stream(problem),
         check_reconfig(problem),
     ]

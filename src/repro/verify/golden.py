@@ -99,9 +99,12 @@ def _nsfnet_problem() -> tuple[str, SamplingProblem]:
 
 
 def _hier_decomposable_problem() -> tuple[str, SamplingProblem]:
-    """Pod-local hierarchical instance — the decomposition backend's
-    canonical shape (``intra_pod_fraction=1.0`` splits the OD×link
-    bipartite graph into one component per pod)."""
+    """Pod-local hierarchical instance, solved by plain exact GP.
+
+    ``intra_pod_fraction=1.0`` keeps every OD pair inside its pod, so
+    the OD×link bipartite graph splits into one component per pod —
+    a block-separable shape the corpus pins alongside the backbones.
+    """
     from ..topology import hierarchical_routing_problem
 
     problem = hierarchical_routing_problem(

@@ -8,7 +8,7 @@ tests additionally pin the iteration savings that justify the chain.
 import numpy as np
 import pytest
 
-from repro import LogUtility, SamplingProblem, janet_task
+from repro import SamplingProblem, janet_task
 from repro.core import (
     GradientProjectionOptions,
     WarmStartChain,
@@ -302,46 +302,6 @@ class TestSolveBatch:
                 seq.objective_value, rel=1e-12
             )
 
-    def test_shared_memory_pool_matches_pickle_pool(self):
-        problems = self._family()
-        with collecting_metrics() as metrics:
-            shared = solve_batch(problems, processes=2, shared_memory=True)
-        counters = metrics.counters()
-        pickled = solve_batch(problems, processes=2, shared_memory=False)
-        for shm, ref in zip(shared, pickled):
-            np.testing.assert_allclose(shm.rates, ref.rates, atol=1e-12)
-            assert shm.objective_value == pytest.approx(
-                ref.objective_value, rel=1e-12
-            )
-        assert counters.get("batch.shm.tasks", 0) == len(problems)
-        assert counters.get("batch.shm.segments", 0) >= 1
-        assert counters.get("batch.shm.fallback", 0) == 0
-
-    def test_shared_memory_solutions_bind_original_problems(self):
-        problems = self._family()
-        solutions = solve_batch(problems, processes=2, shared_memory=True)
-        for solution, problem in zip(solutions, problems):
-            assert solution.problem is problem
-
-    def test_heterogeneous_utilities_fall_back_to_pickle(self):
-        base = self._family()
-        logs = SamplingProblem(
-            routing=base[0].routing_op.toarray(),
-            link_loads_pps=base[0].link_loads_pps,
-            theta_packets=base[0].theta_packets,
-            utilities=[LogUtility() for _ in range(base[0].num_od_pairs)],
-        )
-        problems = [*base[:2], logs]
-        with collecting_metrics() as metrics:
-            solutions = solve_batch(problems, processes=2, shared_memory=True)
-        counters = metrics.counters()
-        assert counters.get("batch.shm.fallback", 0) == 1
-        for solution, problem in zip(solutions, problems):
-            reference = solve_gradient_projection(problem)
-            assert solution.objective_value == pytest.approx(
-                reference.objective_value, rel=1e-9
-            )
-
     def test_small_batches_run_inline(self, geant_problem):
         problems = [
             geant_problem.with_theta(theta).clamped() for theta in THETAS[:2]
@@ -359,7 +319,7 @@ class TestSolveBatch:
         assert solutions[0].diagnostics.converged
 
     def test_default_processes_inline_on_small_hosts(self, geant_problem):
-        # processes=None sizes the pool to min(cpu_count, len(problems));
+        # processes=None sizes the pool to min(usable cpus, len(problems));
         # whatever the host, the call must succeed and match references.
         problems = [
             geant_problem.with_theta(theta).clamped() for theta in THETAS[:3]
@@ -435,14 +395,49 @@ class TestMaxProcessesEnv:
         assert snapshot["gauges"]["batch.pool.workers"] == 2
 
     def test_cap_applied_counter(self, monkeypatch):
-        from repro.core.batch import MAX_PROCESSES_ENV, _default_processes
+        from repro.core.batch import (
+            MAX_PROCESSES_ENV,
+            _default_processes,
+            _usable_cpus,
+        )
 
-        import os
-
-        if (os.cpu_count() or 1) < 2:  # pragma: no cover - 1-cpu hosts
+        if _usable_cpus() < 2:  # pragma: no cover - 1-cpu hosts
             pytest.skip("host has a single CPU; cap never binds")
         monkeypatch.setenv(MAX_PROCESSES_ENV, "1")
         with collecting_metrics(reset=True) as registry:
             _default_processes(64)
             counters = registry.snapshot()["counters"]
         assert counters["batch.env_cap.applied"] == 1
+
+
+class TestUsableCpus:
+    """The default pool size follows the CPU affinity set."""
+
+    def test_affinity_set_bounds_default(self, monkeypatch):
+        import os
+
+        from repro.core.batch import MAX_PROCESSES_ENV, _default_processes
+
+        monkeypatch.delenv(MAX_PROCESSES_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        assert _default_processes(64) == 1
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False
+        )
+        assert _default_processes(64) == 3
+        assert _default_processes(2) == 2
+
+    def test_falls_back_to_cpu_count_without_affinity(self, monkeypatch):
+        import os
+
+        from repro.core.batch import MAX_PROCESSES_ENV, _default_processes
+
+        monkeypatch.delenv(MAX_PROCESSES_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert _default_processes(64) == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _default_processes(64) == 1

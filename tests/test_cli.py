@@ -97,13 +97,29 @@ class TestSolveCommand:
         assert payload["backend"] == "approx"
         assert payload["optimality_gap"] >= 0.0
 
-    def test_backend_compiled_is_exact(self, capsys):
-        code = main(["solve", "--theta", "100000",
-                     "--backend", "compiled", "--json"])
-        assert code == 0
+    @pytest.mark.parametrize("name", ["decompose", "compiled"])
+    def test_removed_backend_is_a_usage_error(self, capsys, name):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve", "--theta", "100000", "--backend", name])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_backend_auto_reports_the_backend_that_ran(
+        self, capsys, monkeypatch
+    ):
+        import repro.scale
+
+        assert main(["solve", "--theta", "100000",
+                     "--backend", "auto", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["backend"] == "exact"
+        # GEANT has 20 candidate links: a threshold of 1 sends it to
+        # the approx backend, as a 50k-link instance would be.
+        monkeypatch.setattr(repro.scale, "APPROX_AUTO_LINKS", 1)
+        assert main(["solve", "--theta", "100000",
+                     "--backend", "auto", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["method"].startswith("compiled_gp[")
-        assert payload["converged"]
+        assert payload["method"] == "approx_waterfill"
+        assert payload["backend"] == "approx"
 
     def test_backend_exact_leaves_gap_unset(self, capsys):
         code = main(["solve", "--theta", "100000", "--json"])
@@ -250,17 +266,17 @@ class TestSpanFlows:
         assert "span waterfall:" not in out
         assert "spans: " in out  # the summary line still counts them
 
-    def test_decomposed_traced_solve_records_scale_spans(
+    def test_scaled_traced_solve_records_scale_spans(
         self, capsys, tmp_path
     ):
-        path = tmp_path / "decomposed.jsonl"
+        path = tmp_path / "approx.jsonl"
         assert main(["solve", "--theta", "100000",
-                     "--backend", "decompose",
+                     "--backend", "approx",
                      "--trace-out", str(path)]) == 0
         capsys.readouterr()
         assert main(["trace", "summary", str(path), "--spans"]) == 0
         out = capsys.readouterr().out
-        assert "scale.decompose" in out
+        assert "scale.solve_scaled" in out
 
     def test_verify_trace_out_embeds_spans(self, capsys, tmp_path):
         from repro.obs import read_manifest

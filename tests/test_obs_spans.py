@@ -1,7 +1,7 @@
 """Tests for hierarchical spans (repro.obs.spans) and pool stitching.
 
 The cross-process cases are the point of the module: a pooled
-``solve_batch`` (or decomposed solve) under ``collecting_spans`` must
+``solve_batch`` under ``collecting_spans`` must
 produce ONE trace whose worker-side spans parent correctly into the
 dispatching span, and worker metrics deltas must merge back so the
 parent's counters match a single-process run exactly — across both
@@ -276,7 +276,7 @@ class TestPoolStitching:
         assert len(ok_tasks) == len(problems)
 
 
-class TestSweepAndDecomposeSpans:
+class TestSweepAndPoolSpans:
     def test_theta_sweep_emits_chain_spans(self, geant_problem):
         thetas = [20_000.0, 50_000.0, 100_000.0]
         with collecting_spans("sweep") as recorder:
@@ -287,39 +287,23 @@ class TestSweepAndDecomposeSpans:
         assert len(chain) == len(thetas)
         assert all(c.parent_id == sweep.span_id for c in chain)
 
-    def test_decomposed_pooled_solve_stitches_one_trace(self, geant_problem):
-        from repro.scale import (
-            DecomposeOptions,
-            routing_components,
-            solve_scaled,
-        )
-        from repro.verify.differential import block_diagonal_problem
-
-        problem = block_diagonal_problem(
-            block_diagonal_problem(geant_problem)
-        )
-        if routing_components(problem).num_components < 3:
-            pytest.skip("instance did not decompose enough to pool")
-        with collecting_spans("decompose") as recorder:
-            solution = solve_scaled(
-                problem,
-                backend="decompose",
-                decompose_options=DecomposeOptions(processes=2),
-            )
-        assert solution.diagnostics.converged
+    def test_pooled_batch_stitches_under_the_callers_span(self):
+        problems = [make_random_problem(seed) for seed in (61, 62, 63)]
+        with collecting_spans("nested") as recorder:
+            with span("caller"):
+                solutions = solve_batch(problems, processes=2)
+        assert all(s.diagnostics.converged for s in solutions)
         spans = recorder.spans
         assert {s.trace_id for s in spans} == {recorder.trace_id}
-        (scaled,) = _by_name(spans, "scale.solve_scaled")
-        (decompose,) = _by_name(spans, "scale.decompose")
-        assert decompose.parent_id == scaled.span_id
-        rounds = _by_name(spans, "scale.decompose.round")
-        assert rounds
-        assert all(r.parent_id == decompose.span_id for r in rounds)
-        # The round-0 fan-out runs on the pool: its batch spans (and
-        # their worker-side children) stitch into this same trace.
+        (caller,) = _by_name(spans, "caller")
         (batch_root,) = _by_name(spans, "batch.solve_batch")
+        assert batch_root.parent_id == caller.span_id
+        assert batch_root.attributes["mode"] == "pool"
         tasks = _by_name(spans, "batch.task")
-        assert tasks
+        assert len(tasks) == len(problems)
         assert all(t.parent_id == batch_root.span_id for t in tasks)
-        if batch_root.attributes.get("mode", "").startswith("pool"):
-            assert len({s.pid for s in spans}) >= 2
+        ids = {s.span_id for s in spans}
+        assert all(
+            s.parent_id in ids for s in spans if s.parent_id is not None
+        )
+        assert len({s.pid for s in spans}) >= 2

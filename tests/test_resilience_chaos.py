@@ -1,10 +1,9 @@
-"""Chaos tests: injected worker deaths, attach failures, leak recovery.
+"""Chaos tests: injected worker deaths and raising pool tasks.
 
 These exercise the crash-safe pool end to end with *real* process
 deaths (``os._exit`` in a worker, indistinguishable from a SIGKILL)
-and verify the three survival properties: results identical to the
-unfaulted run, bounded degradation when faults persist, and no
-shared-memory segments left behind.
+and verify the two survival properties: results identical to the
+unfaulted run, and bounded degradation when faults persist.
 """
 
 import numpy as np
@@ -12,15 +11,9 @@ import pytest
 
 from repro import SamplingProblem, solve_batch
 from repro.cli import main
-from repro.core.shm import (
-    SharedProblemPool,
-    live_segment_names,
-    shared_memory_available,
-    sweep_leaked_segments,
-)
 from repro.obs import collecting_metrics
 from repro.resilience.faults import (
-    SITE_SHM_ATTACH,
+    SITE_SOLVE_RAISE,
     SITE_WORKER_EXIT,
     FaultPlan,
     FaultSpec,
@@ -81,23 +74,15 @@ class TestWorkerDeath:
         for a, b in zip(baseline, survived):
             np.testing.assert_array_equal(a.rates, b.rates)
 
-    def test_no_shared_memory_leak_after_worker_death(self, batch_problems):
-        if not shared_memory_available():
-            pytest.skip("shared memory unavailable")
-        with injected_faults(_kill_plan(1)):
-            solve_batch(batch_problems, processes=3)
-        assert live_segment_names() == []
 
 
-class TestAttachFailure:
-    def test_failed_attach_falls_back_inline(self, batch_problems):
-        if not shared_memory_available():
-            pytest.skip("shared memory unavailable")
+class TestTaskFailure:
+    def test_raising_task_falls_back_inline(self, batch_problems):
         # occurrence counters reset per shipped task, so occurrence 0
-        # fires on *every* worker attach; with no task retries every
+        # fires on *every* pool task; with no task retries every
         # member must be recovered inline by the parent
         plan = FaultPlan(
-            specs=(FaultSpec(site=SITE_SHM_ATTACH, hits=frozenset({0})),)
+            specs=(FaultSpec(site=SITE_SOLVE_RAISE, hits=frozenset({0})),)
         )
         baseline = solve_batch(batch_problems, processes=1)
         with injected_faults(plan), collecting_metrics() as reg:
@@ -108,24 +93,25 @@ class TestAttachFailure:
         assert counters["resilience.task.inline"] == len(batch_problems)
         for a, b in zip(baseline, survived):
             np.testing.assert_array_equal(a.rates, b.rates)
-        assert live_segment_names() == []
 
-
-class TestLeakRecovery:
-    def test_sweep_recovers_unlinked_segments(self, batch_problems):
-        if not shared_memory_available():
-            pytest.skip("shared memory unavailable")
-        pool = SharedProblemPool()
-        handle = pool.publish(batch_problems[0])
-        assert handle is not None
-        assert live_segment_names()  # the segment is registered...
-        with collecting_metrics() as reg:
-            recovered = sweep_leaked_segments()  # ...until the sweeper runs
+    def test_raising_task_is_retried_in_the_pool(self, batch_problems):
+        # index-keyed faults fire on a task's first attempt only: the
+        # re-queued attempt succeeds in a worker, never inline
+        plan = FaultPlan(
+            specs=(
+                FaultSpec(
+                    site=SITE_SOLVE_RAISE, hits=frozenset({1}), key="index"
+                ),
+            )
+        )
+        baseline = solve_batch(batch_problems, processes=1)
+        with injected_faults(plan), collecting_metrics() as reg:
+            survived = solve_batch(batch_problems, processes=3)
             counters = reg.snapshot()["counters"]
-        assert recovered >= 1
-        assert counters["batch.shm.leaked_recovered"] >= 1
-        assert live_segment_names() == []
-        pool.close()  # idempotent against the already-unlinked segments
+        assert counters["resilience.task.requeued"] == 1
+        assert counters.get("resilience.task.inline", 0) == 0
+        for a, b in zip(baseline, survived):
+            np.testing.assert_array_equal(a.rates, b.rates)
 
 
 class TestChaosCli:

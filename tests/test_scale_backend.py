@@ -28,26 +28,27 @@ class TestChooseBackend:
         with pytest.raises(ValueError, match="unknown scale backend"):
             choose_backend(geant_problem, "simplex")
 
+    @pytest.mark.parametrize("name", ["decompose", "compiled"])
+    def test_removed_backend_lists_known_ones(self, geant_problem, name):
+        with pytest.raises(ValueError) as excinfo:
+            choose_backend(geant_problem, name)
+        message = str(excinfo.value)
+        assert f"unknown scale backend {name!r}" in message
+        for known in ("auto", *SCALE_BACKENDS):
+            assert repr(known) in message
+
     def test_small_problem_stays_exact(self, geant_problem):
         assert choose_backend(geant_problem, "auto") == "exact"
 
-    def test_separable_midsize_decomposes(self):
+    def test_midsize_problem_stays_exact(self):
         # The auto policy keys on *candidate* links (columns some OD
-        # row touches), so the OD count must cover enough of the leaf
-        # links to cross the decompose floor.
-        problem = hierarchical_routing_problem(
-            48, 48, 2, intra_pod_fraction=1.0, num_od_pairs=6_912, seed=0
-        )
-        assert int(problem.candidate_mask.sum()) >= 2_048
-        assert choose_backend(problem, "auto") == "decompose"
-
-    def test_midsize_coupled_problem_compiles(self):
+        # row touches): everything below the approx threshold is exact.
         problem = hierarchical_routing_problem(
             8, 60, 2, intra_pod_fraction=0.0, num_od_pairs=960, seed=0
         )
         candidates = int(problem.candidate_mask.sum())
-        assert 512 <= candidates < 2_048
-        assert choose_backend(problem, "auto") == "compiled"
+        assert 512 <= candidates < APPROX_AUTO_LINKS
+        assert choose_backend(problem, "auto") == "exact"
 
     def test_huge_problem_approximates(self):
         problem = hierarchical_routing_problem(
@@ -75,25 +76,6 @@ class TestSolveScaled:
         )
         assert scaled.diagnostics.optimality_gap is None
 
-    def test_compiled_dispatch(self, geant_problem):
-        solution = solve_scaled(geant_problem, backend="compiled")
-        assert solution.diagnostics.method.startswith("compiled_gp[")
-        assert solution.diagnostics.optimality_gap is not None
-
-    def test_decompose_dispatch(self):
-        from repro.scale import DecomposeOptions
-
-        problem = hierarchical_routing_problem(
-            4, 8, 2, intra_pod_fraction=1.0, seed=2006
-        )
-        solution = solve_scaled(
-            problem,
-            backend="decompose",
-            decompose_options=DecomposeOptions(parallel=False),
-        )
-        assert solution.diagnostics.method == "decompose"
-        assert solution.diagnostics.converged
-
     def test_warm_start_reaches_approx(self, geant_problem):
         exact = solve_scaled(geant_problem, backend="exact")
         warm = solve_scaled(
@@ -103,14 +85,8 @@ class TestSolveScaled:
         assert warm.diagnostics.iterations <= 2
 
     def test_every_backend_feasible_result(self, geant_problem):
-        from repro.scale import DecomposeOptions
-
         for backend in SCALE_BACKENDS:
-            solution = solve_scaled(
-                geant_problem,
-                backend=backend,
-                decompose_options=DecomposeOptions(parallel=False),
-            )
+            solution = solve_scaled(geant_problem, backend=backend)
             assert np.all(solution.rates >= 0.0)
             assert np.all(solution.rates <= geant_problem.alpha + 1e-12)
             assert solution.budget_used_packets <= (

@@ -200,7 +200,7 @@ class TestOverloadE2E:
         # One solve slot; the first solve hangs on the injected slow
         # site, so the concurrent second distinct solve must shed.
         config = _config(
-            tmp_path, max_pending=1, low_watermark=1, batch_window_s=0.0
+            tmp_path, max_pending=1, low_watermark=1
         )
         plan = FaultPlan(
             specs=(
@@ -239,7 +239,7 @@ class TestOverloadE2E:
 
     def test_cache_hits_are_never_shed_during_overload(self, tmp_path):
         config = _config(
-            tmp_path, max_pending=1, low_watermark=1, batch_window_s=0.0
+            tmp_path, max_pending=1, low_watermark=1
         )
         plan = FaultPlan(
             specs=(
@@ -306,7 +306,7 @@ class TestDeadlineE2E:
         self, tmp_path
     ):
         config = _config(
-            tmp_path, deadline_fallback=False, batch_window_s=0.0
+            tmp_path, deadline_fallback=False
         )
         plan = FaultPlan(
             specs=(
@@ -327,7 +327,7 @@ class TestDeadlineE2E:
         assert stats["counters"]["serve.deadline.exceeded"] == 1
 
     def test_generous_deadline_still_answers_exact(self, tmp_path):
-        config = _config(tmp_path, batch_window_s=0.0)
+        config = _config(tmp_path)
         with ServerThread(config):
             response = _client(config).request(
                 "solve", SOLVE, deadline_ms=60_000.0
@@ -341,7 +341,7 @@ class TestDeadlineE2E:
         # Deterministic stand-in for budget exhaustion: the exact
         # solve fails under a deadline, and the armed fallback answers
         # from the certified-gap approx backend instead of erroring.
-        config = _config(tmp_path, batch_window_s=0.0)
+        config = _config(tmp_path)
         plan = FaultPlan(specs=(FaultSpec(SITE_SOLVE_RAISE, hits={0}),))
         with ServerThread(config) as thread, injected_faults(plan):
             client = _client(config)
@@ -370,7 +370,7 @@ class TestDeadlineE2E:
     ):
         # The fallback arms only when the request carries a budget:
         # an un-deadlined exact solve keeps strict error semantics.
-        config = _config(tmp_path, batch_window_s=0.0)
+        config = _config(tmp_path)
         plan = FaultPlan(specs=(FaultSpec(SITE_SOLVE_RAISE, hits={0}),))
         with ServerThread(config), injected_faults(plan):
             with pytest.raises(ServeRequestError) as excinfo:
@@ -421,7 +421,7 @@ class TestDrain:
         # One worker: the first solve hangs mid-flight on the slow
         # site while the second sits queued-unstarted behind it.
         config = _config(
-            tmp_path, executor_workers=1, batch_window_s=0.0
+            tmp_path, executor_workers=1
         )
         plan = FaultPlan(
             specs=(
@@ -461,7 +461,7 @@ class TestDrain:
 
     def test_new_work_is_refused_while_draining(self, tmp_path):
         config = _config(
-            tmp_path, executor_workers=1, batch_window_s=0.0
+            tmp_path, executor_workers=1
         )
         plan = FaultPlan(
             specs=(
@@ -507,7 +507,6 @@ class TestSigtermDrain:
             sys.executable, "-c",
             "from repro.cli import main; raise SystemExit(main())",
             "serve", "--socket", socket_path, "--journal", journal,
-            "--batch-window", "0",
         ]
 
         def _spawn() -> subprocess.Popen:

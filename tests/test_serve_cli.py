@@ -125,7 +125,19 @@ class TestServeCommand:
             main(["serve", "--socket", str(tmp_path / "s.sock"),
                   "--ttl", "0"])
 
-    def test_rejects_negative_batch_window(self, tmp_path):
-        with pytest.raises(SystemExit, match="--batch-window"):
+    @pytest.mark.parametrize("flag", ["--batch-window", "--batch-min"])
+    def test_removed_batch_flags_are_usage_errors(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as excinfo:
             main(["serve", "--socket", str(tmp_path / "s.sock"),
-                  "--batch-window", "-1"])
+                  flag, "0"])
+        assert excinfo.value.code == 2
+
+
+class TestRequestBackends:
+    @pytest.mark.parametrize("name", ["decompose", "compiled"])
+    def test_removed_backend_is_a_usage_error(self, tmp_path, capsys, name):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["request", "solve", "--socket", str(tmp_path / "s.sock"),
+                  "--theta", "100000", "--backend", name])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -19,7 +19,6 @@ from repro.core import solve
 from repro.resilience.faults import (
     SITE_SERVE_CLIENT_DISCONNECT,
     SITE_SOLVE_RAISE,
-    SITE_WORKER_EXIT,
     FaultPlan,
     FaultSpec,
     injected_faults,
@@ -166,10 +165,8 @@ class TestCoalescing:
         payloads = [json.dumps(r["result"], sort_keys=True) for r in responses]
         assert len(set(payloads)) == 1
 
-    def test_distinct_concurrent_solves_batch_through_the_pool(
-        self, tmp_path
-    ):
-        config = _config(tmp_path, batch_window_s=0.25, batch_min=3)
+    def test_distinct_concurrent_solves_ride_the_warm_chain(self, tmp_path):
+        config = _config(tmp_path)
         thetas = [2e4, 4e4, 8e4, 1.6e5]
         with ServerThread(config):
             _client(config).request("solve", {"theta": 5e4})  # warm the task
@@ -184,8 +181,11 @@ class TestCoalescing:
                 )
             stats = _client(config).result("stats")
         assert all(r["result"]["converged"] for r in responses)
-        assert stats["counters"].get("serve.batch.grouped", 0) >= 1
-        assert stats["counters"].get("serve.batch.batched_requests", 0) >= 3
+        assert [r["cache"] for r in responses] == ["miss"] * len(thetas)
+        # Every miss solves on the family's resident chain: the warm-up
+        # request created it, each distinct θ after it reuses it.
+        assert stats["counters"]["serve.warm.miss"] == 1
+        assert stats["counters"]["serve.warm.hit"] == len(thetas)
         objectives = [r["result"]["objective"] for r in responses]
         assert objectives == sorted(objectives)  # more budget, more utility
 
@@ -220,7 +220,7 @@ class TestJournalRestart:
 
 class TestChaos:
     def test_injected_solve_fault_does_not_poison_the_cache(self, tmp_path):
-        config = _config(tmp_path, batch_window_s=0.0)
+        config = _config(tmp_path)
         plan = FaultPlan(specs=(FaultSpec(SITE_SOLVE_RAISE, hits={0}),))
         with ServerThread(config) as thread, injected_faults(plan):
             client = _client(config)
@@ -234,40 +234,6 @@ class TestChaos:
         assert recovered["result"]["converged"] is True
         assert stats["counters"]["serve.request.errors"] == 1
         assert stats["resident"]["results"] == 1
-
-    def test_killed_pool_worker_leaves_the_cache_clean(self, tmp_path):
-        config = _config(tmp_path, batch_window_s=0.25, batch_min=3)
-        thetas = [2e4, 4e4, 8e4, 1.6e5]
-        kill_first_task = FaultPlan(
-            specs=(FaultSpec(SITE_WORKER_EXIT, hits={0}, key="index"),)
-        )
-        with ServerThread(config):
-            client = _client(config)
-            client.request("solve", {"theta": 5e4})  # warm the task
-            with injected_faults(kill_first_task):
-                with ThreadPoolExecutor(len(thetas)) as pool:
-                    responses = list(
-                        pool.map(
-                            lambda theta: _client(config).request(
-                                "solve", {"theta": theta}
-                            ),
-                            thetas,
-                        )
-                    )
-            stats = _client(config).result("stats")
-            # The crash recovery must not have cached a wrong answer:
-            # every repeat request hits and matches its first answer.
-            for theta, response in zip(thetas, responses):
-                again = client.request("solve", {"theta": theta})
-                assert again["cache"] == "hit"
-                assert again["result"] == response["result"]
-        assert all(r["result"]["converged"] for r in responses)
-        # On a single-core host solve_batch degrades to inline solves
-        # and the worker-exit site is never consulted; whenever the
-        # pool actually dispatched, the kill must have fired and been
-        # absorbed by the crash-safe driver.
-        if stats["counters"].get("batch.pool.dispatches", 0):
-            assert stats["counters"].get("resilience.pool.broken", 0) >= 1
 
 
 class TestStatsAndTrace:
@@ -318,6 +284,72 @@ def _raw_exchange(config: ServerConfig, payload: bytes) -> bytes:
             if chunk.endswith(b"\n"):
                 break
         return b"".join(chunks)
+
+
+class TestBackends:
+    @pytest.mark.parametrize("name", ["decompose", "compiled"])
+    def test_removed_backend_is_a_protocol_error_and_conn_survives(
+        self, tmp_path, name
+    ):
+        config = _config(tmp_path)
+        bad = {"op": "solve", "id": "bad",
+               "params": {"theta": 1e5, "backend": name}}
+        with ServerThread(config):
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.settimeout(10.0)
+                sock.connect(config.socket_path)
+                reader = sock.makefile("rb")
+                sock.sendall(json.dumps(bad).encode() + b"\n")
+                rejected = json.loads(reader.readline())
+                sock.sendall(b'{"op": "ping", "id": "next"}\n')
+                served = json.loads(reader.readline())
+        assert rejected["id"] == "bad"
+        assert rejected["ok"] is False
+        assert rejected["kind"] == "protocol"
+        assert f"unknown backend {name!r}" in rejected["error"]
+        assert served["id"] == "next"
+        assert served["ok"] is True
+
+    def test_explicit_approx_is_labelled_and_never_cached(self, tmp_path):
+        config = _config(tmp_path)
+        params = {"theta": 1e5, "backend": "approx"}
+        with ServerThread(config) as thread:
+            first = _client(config).request("solve", params)
+            again = _client(config).request("solve", params)
+            assert len(thread.server.cache) == 0
+        for response in (first, again):
+            assert response["cache"] == "miss"
+            assert response["result"]["backend"] == "approx"
+            assert response["result"]["tier"] == "approx"
+            assert response["result"]["gap_certified"] is True
+
+    def test_auto_above_the_threshold_reports_approx(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.scale
+
+        # GEANT has 20 candidate links: a threshold of 1 sends it to
+        # the approx backend, as a 50k-link instance would be.
+        monkeypatch.setattr(repro.scale, "APPROX_AUTO_LINKS", 1)
+        config = _config(tmp_path)
+        params = {"theta": 1e5, "backend": "auto"}
+        with ServerThread(config) as thread:
+            first = _client(config).request("solve", params)
+            again = _client(config).request("solve", params)
+            assert len(thread.server.cache) == 0
+        assert first["result"]["method"] == "approx_waterfill"
+        assert first["result"]["backend"] == "approx"
+        assert first["result"]["tier"] == "approx"
+        assert again["cache"] == "miss"
+
+    def test_auto_below_the_threshold_reports_exact(self, tmp_path):
+        config = _config(tmp_path)
+        with ServerThread(config):
+            response = _client(config).request(
+                "solve", {"theta": 1e5, "backend": "auto"}
+            )
+        assert response["result"]["backend"] == "exact"
+        assert response["result"]["tier"] == "exact"
 
 
 class TestMalformedInput:
@@ -415,7 +447,7 @@ class TestClientDisconnect:
         # response write — the server-side view of a client that died
         # mid-solve.  The finished answer must land in the cache
         # anyway (no silent loss of paid-for work).
-        config = _config(tmp_path, batch_window_s=0.0)
+        config = _config(tmp_path)
         plan = FaultPlan(
             specs=(FaultSpec(SITE_SERVE_CLIENT_DISCONNECT, hits={0}),)
         )

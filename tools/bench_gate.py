@@ -15,8 +15,8 @@ Three families of checks per benchmark entry, matched by ``name``:
 
 ``slowdown``
     For each tracked wall-clock metric of the entry's kind (e.g.
-    ``optimized_seconds`` for solvers, ``shm_pool_seconds`` for the
-    shared-memory pool), ``fresh / baseline`` must stay at or below the
+    ``optimized_seconds`` for solvers, ``warm_seconds`` for sweeps),
+    ``fresh / baseline`` must stay at or below the
     kind's ``max_slowdown`` band.  Every band ships below 2.0 so a
     genuine 2x regression always trips the gate, while quick-mode
     timing noise does not.
@@ -30,6 +30,12 @@ Three families of checks per benchmark entry, matched by ``name``:
     Correctness riding along with performance: certified optimality
     gaps must stay below their absolute ceilings and a
     ``gap_certified: true`` baseline entry must not turn uncertified.
+
+Every fresh entry whose recomputed speedup is below 1.0 — a variant
+that loses to the simpler path it is measured against — is printed as
+a ``[WARN] losing variant`` line and listed under ``losing_variants``
+in the gate report.  Losing variants do not fail the gate; they are
+candidates for deletion.
 
 Tolerances live in ``.bench-tolerances.toml`` at the repo root
 (stdlib ``tomllib``; per-kind tables override ``[default]``).  The
@@ -57,8 +63,7 @@ TRACKED_SECONDS = {
     "solver": ("optimized_seconds",),
     "presolve": ("reduced_seconds",),
     "sweep": ("warm_seconds", "presolved_seconds"),
-    "batch-shm": ("shm_pool_seconds",),
-    "scaling": ("approx_seconds", "decompose_seconds", "compiled_seconds"),
+    "scaling": ("approx_seconds",),
     "obs": ("disabled_seconds",),
     "serve": ("warm_request_seconds",),
     "stream": ("incremental_seconds",),
@@ -70,7 +75,6 @@ SPEEDUP_PAIRS = {
     "solver": ("baseline_seconds", "optimized_seconds"),
     "presolve": ("full_seconds", "reduced_seconds"),
     "sweep": ("cold_seconds", "warm_seconds"),
-    "batch-shm": ("pickle_pool_seconds", "shm_pool_seconds"),
     "scaling": ("exact_seconds", "approx_seconds"),
     "serve": ("cold_cli_seconds", "warm_request_seconds"),
     "stream": ("cold_seconds", "incremental_seconds"),
@@ -85,12 +89,7 @@ GAP_CEILINGS = {
     },
     "presolve": {"relative_objective_gap": "max_relative_objective_gap"},
     "sweep": {"relative_objective_gap": "max_relative_objective_gap"},
-    "batch-shm": {"relative_objective_gap": "max_relative_objective_gap"},
-    "scaling": {
-        "approx_gap_relative": "max_approx_gap",
-        "decompose_gap_relative": "max_decompose_gap",
-        "compiled_gap_relative": "max_compiled_gap",
-    },
+    "scaling": {"approx_gap_relative": "max_approx_gap"},
     "obs": {
         "disabled_overhead_relative": "max_disabled_overhead",
         "relative_objective_gap": "max_relative_objective_gap",
@@ -108,6 +107,7 @@ class GateResult:
     """One comparison: every check, its verdict, and the numbers."""
 
     checks: list[dict] = field(default_factory=list)
+    losing_variants: list[dict] = field(default_factory=list)
 
     def add(self, name: str, passed: bool, detail: str, **numbers) -> None:
         self.checks.append(
@@ -127,6 +127,7 @@ class GateResult:
             "passed": self.passed,
             "checks": self.checks,
             "failures": len(self.failures),
+            "losing_variants": self.losing_variants,
         }
 
 
@@ -156,11 +157,24 @@ def _recomputed_speedup(entry: dict, kind: str) -> float | None:
     return entry[num] / entry[den]
 
 
+def find_losing_variants(report: dict) -> list[dict]:
+    """Entries whose recomputed speedup is below 1.0, in report order."""
+    losing = []
+    for entry in report.get("entries", []):
+        speedup = _recomputed_speedup(entry, entry.get("kind"))
+        if speedup is not None and speedup < 1.0:
+            losing.append(
+                {"name": entry["name"], "kind": entry["kind"],
+                 "speedup": speedup}
+            )
+    return losing
+
+
 def compare_reports(
     baseline: dict, fresh: dict, tolerances: dict, slack: float = 1.0
 ) -> GateResult:
     """Every gate check for one baseline/fresh report pair."""
-    result = GateResult()
+    result = GateResult(losing_variants=find_losing_variants(fresh))
     fresh_by_name = {e["name"]: e for e in fresh.get("entries", [])}
     for base in baseline.get("entries", []):
         name = base["name"]
@@ -333,9 +347,15 @@ def main(argv: list[str] | None = None) -> int:
     for check in result.checks:
         marker = "PASS" if check["passed"] else "FAIL"
         print(f"[{marker}] {check['check']}: {check['detail']}")
+    for variant in result.losing_variants:
+        print(
+            f"[WARN] losing variant: {variant['name']} ({variant['kind']}) "
+            f"speedup {variant['speedup']:.2f}x < 1.0"
+        )
     print(
         f"\nbench gate: {len(result.checks)} checks, "
-        f"{len(result.failures)} failures"
+        f"{len(result.failures)} failures, "
+        f"{len(result.losing_variants)} losing variants"
     )
     if args.output is not None:
         payload = {
